@@ -1,7 +1,7 @@
 """Shared SparkSession bootstrap for the job entrypoints.
 
 Under ``spark-submit`` the session comes from the submitted context; under
-plain ``python jobs/<name>.py`` we configure a local master first (same
+plain ``python jobs/run.py`` we configure a local master first (same
 settings as conftest.py).
 """
 import os

@@ -1,22 +1,11 @@
-"""Generate model-training traces for a benchmark (Spark pipeline).
-
-Usage: spark-submit jobs/gen_traces.py [tpch|tpcds] [--force]
-"""
+"""Alias for ``spark-submit jobs/run.py traces [tpch|tpcds|both] [--force]``."""
 import sys
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])
-from jobs._session import get_spark  # noqa: E402
+import run
 
 
 def main() -> None:
-    from repro.experiments import common
-
-    benchmark = sys.argv[1] if len(sys.argv) > 1 else "tpch"
-    force = "--force" in sys.argv
-    spark = get_spark()
-    traces = common.get_traces(spark, benchmark, force=force)
-    print(f"{benchmark}: {len(traces)} trace rows -> {common.traces_path(benchmark)}")
-    print(traces.groupby("kind").size())
+    run.main(["traces", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -1,24 +1,11 @@
-"""Reproduce Expt 6/7 (compile-time MOO: hypervolume + solving time). Usage:
-spark-submit jobs/run_expt6.py [tpch|tpcds|both]
-"""
+"""Alias for ``spark-submit jobs/run.py expt6 [tpch|tpcds|both] [--force]``."""
 import sys
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])
-from jobs._session import get_spark  # noqa: E402
+import run
 
 
 def main() -> None:
-    from repro.experiments import common
-    from repro.experiments.expt6 import format_expt6, run_expt6
-
-    which = sys.argv[1] if len(sys.argv) > 1 else "both"
-    benchmarks = ["tpch", "tpcds"] if which == "both" else [which]
-    spark = get_spark()
-    for bm in benchmarks:
-        suite = common.get_suite(spark, bm)
-        res = run_expt6(bm, suite)
-        print(format_expt6(res))
-        print()
+    run.main(["expt6", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -1,22 +1,11 @@
-"""Reproduce Table 3 (model performance). Usage:
-spark-submit jobs/run_table3.py [tpch|tpcds|both]
-"""
+"""Alias for ``spark-submit jobs/run.py table3 [tpch|tpcds|both] [--force]``."""
 import sys
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])
-from jobs._session import get_spark  # noqa: E402
+import run
 
 
 def main() -> None:
-    from repro.experiments.table3 import format_table3, run_table3
-
-    which = sys.argv[1] if len(sys.argv) > 1 else "both"
-    benchmarks = ["tpch", "tpcds"] if which == "both" else [which]
-    spark = get_spark()
-    for bm in benchmarks:
-        res = run_table3(spark, bm)
-        print(format_table3(res))
-        print()
+    run.main(["table3", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

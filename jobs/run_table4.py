@@ -1,25 +1,11 @@
-"""Reproduce Table 4 (latency reduction, strong speed preference). Usage:
-spark-submit jobs/run_table4.py [tpch|tpcds|both]
-(Spark is only used to build the model-training traces on first run.)
-"""
+"""Alias for ``spark-submit jobs/run.py table4 [tpch|tpcds|both] [--force]``."""
 import sys
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])
-from jobs._session import get_spark  # noqa: E402
+import run
 
 
 def main() -> None:
-    from repro.experiments import common
-    from repro.experiments.table4 import format_table4, run_table4
-
-    which = sys.argv[1] if len(sys.argv) > 1 else "both"
-    benchmarks = ["tpch", "tpcds"] if which == "both" else [which]
-    spark = get_spark()
-    for bm in benchmarks:
-        suite = common.get_suite(spark, bm)
-        res = run_table4(bm, suite)
-        print(format_table4(res))
-        print()
+    run.main(["table4", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

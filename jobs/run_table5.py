@@ -1,24 +1,11 @@
-"""Reproduce Table 5 (latency/cost adapting to preferences). Usage:
-spark-submit jobs/run_table5.py [tpch|tpcds|both]
-"""
+"""Alias for ``spark-submit jobs/run.py table5 [tpch|tpcds|both] [--force]``."""
 import sys
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])
-from jobs._session import get_spark  # noqa: E402
+import run
 
 
 def main() -> None:
-    from repro.experiments import common
-    from repro.experiments.table5 import format_table5, run_table5
-
-    which = sys.argv[1] if len(sys.argv) > 1 else "both"
-    benchmarks = ["tpch", "tpcds"] if which == "both" else [which]
-    spark = get_spark()
-    for bm in benchmarks:
-        suite = common.get_suite(spark, bm)
-        res = run_table5(bm, suite)
-        print(format_table5(res))
-        print()
+    run.main(["table5", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

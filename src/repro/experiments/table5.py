@@ -17,9 +17,7 @@ from repro.core.workloads import benchmark_queries, build_query
 from repro.experiments import common
 from repro.model.predictor import ModelSuite
 from repro.moo.objectives import CompileTimeObjectives
-from repro.runtime.optimizer import OnlineOptimizer
-from repro.simspark.executor import run_query
-from repro.tuner import compile_hmooc3, run_default, run_so_fw, submit_conf
+from repro.tuner import compile_hmooc3, run_default, run_hmooc3_plus, run_so_fw
 
 PREFS = [(0.0, 1.0), (0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (1.0, 0.0)]
 
@@ -62,14 +60,11 @@ def run_table5(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
             noise = 2000 + qi
             so = run_so_fw(dag, suite, pref, noise_seed=noise, seed=seed,
                            objectives=obj)
-            _, qc = res.recommend(pref)
-            conf = submit_conf(qc, dag)
-            rt = OnlineOptimizer(dag, suite, qc.theta_c, pref, seed=seed)
-            run = run_query(dag, conf, aqe=True, noise_seed=noise, runtime_opt=rt)
+            h3p = run_hmooc3_plus(dag, suite, res, pref, noise_seed=noise)
             dl_so.append(so.latency_s / d.latency_s - 1.0)
             dc_so.append(so.cost_usd / d.cost_usd - 1.0)
-            dl_h.append(run.latency_s / d.latency_s - 1.0)
-            dc_h.append(run.cost_usd / d.cost_usd - 1.0)
+            dl_h.append(h3p.latency_s / d.latency_s - 1.0)
+            dc_h.append(h3p.cost_usd / d.cost_usd - 1.0)
         prefs_out[f"{pref[0]:.1f},{pref[1]:.1f}"] = {
             "so-fw": (float(np.mean(dl_so)), float(np.mean(dc_so))),
             "hmooc3+": (float(np.mean(dl_h)), float(np.mean(dc_h))),

@@ -1,7 +1,6 @@
 """Model suite: subQ / QS / LQP̄ predictors and their feature layouts.
 
-Feature layouts (shared by the trace generator and the MOO solvers — keep
-in sync or the models silently mispredict):
+Feature layouts (built only here, so training and serving see the same rows):
 
 * **subQ** (compile time): GTN embedding of the subQ's operators over
   *estimated* stats ‖ full 19-knob vector ‖ α_cbo ‖ β=0 ‖ γ=0;
@@ -11,6 +10,14 @@ in sync or the models silently mispredict):
   19-knob vector ‖ α totals ‖ β mean ‖ γ.
 
 Targets: (analytical) latency in seconds and IO in MB, each its own MLP.
+
+Trace generation (``repro.model.traces``), the compile-time objectives
+(``repro.moo.objectives``) and the runtime plugin (``repro.runtime.optimizer``)
+all build subQ/QS rows through one :class:`StageContext` per (DAG, stage,
+statistics view), and LQP̄ rows through :func:`lqp_rows`.
+``tests/test_traces.py::test_serving_rows_match_trace_rows`` replays trace
+runs through both optimizers and checks the rows they serve against the
+trace rows.
 """
 from __future__ import annotations
 
@@ -22,8 +29,8 @@ import numpy as np
 from repro.core.plan import SubQDag
 from repro.model.features import (
     ALPHA_DIM, BETA_DIM, DERIVED_DIM, GAMMA_DIM, JOIN_ALGS, alpha_features,
-    beta_features, derived_partition_features, gamma_features, join_alg_onehot,
-    local_edges, op_feature_matrix,
+    beta_features, derived_partition_features, join_alg_onehot, local_edges,
+    op_feature_matrix,
 )
 from repro.model.gtn import EMB_DIM, GTNEmbedder
 from repro.model.mlp import MLPRegressor
@@ -102,20 +109,71 @@ def conf_to_vec_qs(conf: dict) -> np.ndarray:
     return to_vector(conf, QS_IDS)
 
 
-def stage_alpha(dag: SubQDag, sq_id: int, *, true: bool) -> np.ndarray:
-    """α for one subQ/QS: input and output rows/bytes at the chosen view."""
-    return alpha_features(
-        dag.input_rows(sq_id, true=true), dag.input_bytes(sq_id, true=true),
-        dag.output_rows(sq_id, true=true), dag.output_bytes(sq_id, true=true))
-
-
-def stage_derived(dag: SubQDag, sq_id: int, M_nat_full: np.ndarray, *, true: bool) -> np.ndarray:
+def stage_derived(ctx: "StageContext", M_nat_full: np.ndarray) -> np.ndarray:
     """Partitioning hints for one stage across a batch of natural-unit
-    19-knob configuration rows."""
-    sq = dag.subqs[sq_id]
-    return derived_partition_features(
-        sq.kind, dag.input_bytes(sq_id, true=true), M_nat_full, FULL_IDS,
-        dag.skew(sq_id))
+    19-knob configuration rows.
+
+    Module-level, like the ``*_feature_rows`` builders, and called through
+    the module by :class:`StageContext`, so the benchmark's traced run
+    (``optbench/tracing.py``) can wrap it."""
+    return derived_partition_features(ctx.kind, ctx.input_bytes, M_nat_full,
+                                      FULL_IDS, ctx.skew)
+
+
+@dataclass(frozen=True, eq=False)
+class StageContext:
+    """The configuration-independent part of one stage's feature rows.
+
+    Built once per (DAG, stage, statistics view): ``true=False`` is the
+    compile-time view (CBO estimates) the subQ model sees, ``true=True``
+    the runtime view (observed statistics) the QS model sees.
+    """
+
+    kind: str
+    input_bytes: float
+    skew: float
+    emb: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    @classmethod
+    def of(cls, dag: SubQDag, sq_id: int, *, true: bool) -> "StageContext":
+        in_bytes, skew = dag.input_bytes(sq_id, true=true), dag.skew(sq_id)
+        alpha = alpha_features(dag.input_rows(sq_id, true=true), in_bytes,
+                               dag.output_rows(sq_id, true=true),
+                               dag.output_bytes(sq_id, true=true))
+        return cls(dag.subqs[sq_id].kind, in_bytes, skew,
+                   embed_subq(dag, sq_id, true_stats=true), alpha,
+                   beta_features(skew))
+
+    def derived(self, M_nat_full: np.ndarray) -> np.ndarray:
+        """Derived-partition columns for natural-unit 19-knob rows."""
+        return stage_derived(self, M_nat_full)
+
+    def subq_rows(self, U_full: np.ndarray, derived: np.ndarray) -> np.ndarray:
+        """subQ rows for normalized 19-knob rows ``U_full``."""
+        return subq_feature_rows(self.emb, self.alpha, U_full, derived)
+
+    def qs_rows(self, U_cs: np.ndarray, derived: np.ndarray, alg: str,
+                gamma: np.ndarray) -> np.ndarray:
+        """QS rows for normalized (θc, θs) rows ``U_cs`` under join
+        algorithm ``alg`` and contention ``gamma``."""
+        return qs_feature_rows(self.emb, alg, self.alpha, self.beta, gamma,
+                               U_cs, derived)
+
+
+def lqp_rows(dag: SubQDag, conf_mat: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """LQP̄ rows over true statistics: whole-plan embedding, α totals over
+    the scans and the root's output, β at the mean skew."""
+    scans = [i for i, s in dag.subqs.items() if s.kind == "scan"]
+    root = dag.roots()[0]
+    alpha = alpha_features(sum(dag.input_rows(i, true=True) for i in scans),
+                           sum(dag.input_bytes(i, true=True) for i in scans),
+                           dag.output_rows(root, true=True),
+                           dag.output_bytes(root, true=True))
+    beta = beta_features(float(np.mean([dag.skew(i) for i in dag.subqs])))
+    return lqp_feature_rows(embed_plan(dag, true_stats=True), alpha, beta,
+                            gamma, conf_mat)
 
 
 # -- trained model bundles ----------------------------------------------------

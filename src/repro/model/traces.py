@@ -20,7 +20,7 @@ import pandas as pd
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.model import predictor as P
-from repro.model.features import alpha_features, beta_features, gamma_features
+from repro.model.features import gamma_features
 from repro.params import ALL_KNOBS, lhs_sample
 from repro.simspark.executor import run_query
 
@@ -41,45 +41,29 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
     conf_vec_qs = P.conf_to_vec_qs(conf)[None, :]
     M_nat = np.array([[conf[i] for i in P.FULL_IDS]])
     rows: list[dict] = []
+
+    def row(kind, sq_id, feats, latency, io_mb):
+        rows.append(dict(kind=kind, benchmark=benchmark, template=template,
+                         variant=variant, conf_id=conf_id, sq_id=sq_id,
+                         feats=feats[0].tolist(), latency=latency, io_mb=io_mb))
+
     for sq_id, sr in run.stages.items():
+        io_mb = sr.io_bytes / 1024**2
         # subQ (compile-time view: estimated stats, uniform/no-contention)
-        emb_c = P.embed_subq(dag, sq_id, true_stats=False)
-        a_c = P.stage_alpha(dag, sq_id, true=False)
-        d_c = P.stage_derived(dag, sq_id, M_nat, true=False)
-        rows.append(dict(
-            kind="subq", benchmark=benchmark, template=template, variant=variant,
-            conf_id=conf_id, sq_id=sq_id,
-            feats=P.subq_feature_rows(emb_c, a_c, conf_vec, d_c)[0].tolist(),
-            latency=sr.analytical_latency_s, io_mb=sr.io_bytes / 1024**2))
+        c = P.StageContext.of(dag, sq_id, true=False)
+        row("subq", sq_id, c.subq_rows(conf_vec, c.derived(M_nat)),
+            sr.analytical_latency_s, io_mb)
         # QS (runtime view: true stats, physical alg, θp dropped)
-        emb_r = P.embed_subq(dag, sq_id, true_stats=True)
-        a_r = P.stage_alpha(dag, sq_id, true=True)
-        b_r = beta_features(dag.skew(sq_id))
-        g_r = gamma_features(sr.n_parallel, sr.parallel_tasks, sr.parallel_work_s)
-        d_r = P.stage_derived(dag, sq_id, M_nat, true=True)
-        rows.append(dict(
-            kind="qs", benchmark=benchmark, template=template, variant=variant,
-            conf_id=conf_id, sq_id=sq_id,
-            feats=P.qs_feature_rows(emb_r, sr.metrics.join_alg, a_r, b_r, g_r,
-                                    conf_vec_qs, d_r)[0].tolist(),
-            latency=sr.analytical_latency_s, io_mb=sr.io_bytes / 1024**2))
+        r = P.StageContext.of(dag, sq_id, true=True)
+        g = gamma_features(sr.n_parallel, sr.parallel_tasks, sr.parallel_work_s)
+        row("qs", sq_id, r.qs_rows(conf_vec_qs, r.derived(M_nat),
+                                   sr.metrics.join_alg, g),
+            sr.analytical_latency_s, io_mb)
     # LQP̄ (whole collapsed plan; end-to-end latency and IO)
-    emb_q = P.embed_plan(dag, true_stats=True)
-    leaf_rows = sum(dag.input_rows(i, true=True) for i, s in dag.subqs.items() if s.kind == "scan")
-    leaf_bytes = sum(dag.input_bytes(i, true=True) for i, s in dag.subqs.items() if s.kind == "scan")
-    root_sq = dag.roots()[0]
-    a_q = alpha_features(leaf_rows, leaf_bytes,
-                         dag.output_rows(root_sq, true=True),
-                         dag.output_bytes(root_sq, true=True))
-    b_q = beta_features(float(np.mean([dag.skew(i) for i in dag.subqs])))
-    g_q = gamma_features(max(s.n_parallel for s in run.stages.values()),
-                         sum(s.metrics.n_tasks for s in run.stages.values()),
-                         sum(s.metrics.task_sec_total for s in run.stages.values()))
-    rows.append(dict(
-        kind="lqp", benchmark=benchmark, template=template, variant=variant,
-        conf_id=conf_id, sq_id=-1,
-        feats=P.lqp_feature_rows(emb_q, a_q, b_q, g_q, conf_vec)[0].tolist(),
-        latency=run.latency_s, io_mb=run.io_gb * 1024.0))
+    g = gamma_features(max(s.n_parallel for s in run.stages.values()),
+                       sum(s.metrics.n_tasks for s in run.stages.values()),
+                       sum(s.metrics.task_sec_total for s in run.stages.values()))
+    row("lqp", -1, P.lqp_rows(dag, conf_vec, g), run.latency_s, run.io_gb * 1024.0)
     return rows
 
 

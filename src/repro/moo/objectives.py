@@ -39,8 +39,7 @@ class CompileTimeObjectives:
         self.suite = suite
         self.costs = costs
         self.sq_ids = sorted(dag.subqs)
-        self._emb = {i: P.embed_subq(dag, i, true_stats=False) for i in self.sq_ids}
-        self._alpha = {i: P.stage_alpha(dag, i, true=False) for i in self.sq_ids}
+        self._ctx = {i: P.StageContext.of(dag, i, true=False) for i in self.sq_ids}
 
     @property
     def m(self) -> int:
@@ -58,8 +57,8 @@ class CompileTimeObjectives:
         """(n, 2) predicted [analytical latency (s), cloud cost ($)]."""
         U_full = np.atleast_2d(U_full)
         M_nat = denormalize_matrix(U_full, P.FULL_IDS)
-        derived = P.stage_derived(self.dag, sq_id, M_nat, true=False)
-        X = P.subq_feature_rows(self._emb[sq_id], self._alpha[sq_id], U_full, derived)
+        ctx = self._ctx[sq_id]
+        X = ctx.subq_rows(U_full, ctx.derived(M_nat))
         lat, io_mb = self.suite.subq.predict(X)
         lat = np.maximum(lat, 1e-4)
         io_gb = np.maximum(io_mb, 0.0) / 1024.0

@@ -156,20 +156,6 @@ def lhs_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
     return [from_vector(u[i], ids) for i in range(n)]
 
 
-def random_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
-    """Uniform random sampling in the normalized space."""
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, len(ids)))
-    return [from_vector(u[i], ids) for i in range(n)]
-
-
-def grid_sample(points_per_dim: int, ids: list[str]) -> list[dict[str, float]]:
-    """Grid sampling (used to initialize θc candidates; §5.1.1)."""
-    axes = [np.linspace(0.0, 1.0, points_per_dim) for _ in ids]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(ids))
-    return [from_vector(row, ids) for row in mesh]
-
-
 def _bounds(ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ks = [KNOB_BY_ID[i] for i in ids]
     lo = np.array([k.lo for k in ks])
@@ -201,11 +187,6 @@ def normalize_matrix(M: np.ndarray, ids: list[str]) -> np.ndarray:
     return np.where(is_log, logv, lin)
 
 
-def confs_to_matrix(confs: list[dict], ids: list[str]) -> np.ndarray:
-    """Stack configuration dicts into a natural-unit matrix."""
-    return np.array([[c[i] for i in ids] for c in confs], dtype=np.float64)
-
-
 # Refined search ranges for optimization-time candidate generation
 # (paper §6.3: "we refine the search range for each Spark parameter by
 # avoiding the extreme values of the parameter space that could make the
@@ -227,11 +208,6 @@ def refine_unit(U: np.ndarray, ids: list[str]) -> np.ndarray:
     lo = np.array([REFINED_BOUNDS.get(i, _DEFAULT_REFINE)[0] for i in ids])
     hi = np.array([REFINED_BOUNDS.get(i, _DEFAULT_REFINE)[1] for i in ids])
     return lo + U * (hi - lo)
-
-
-def total_cores(theta_c: dict[str, float]) -> float:
-    """k1 * k3 — the resource total that θp's shuffle partitioning correlates with."""
-    return theta_c["k1"] * theta_c["k3"]
 
 
 def spark_conf_items(conf: dict[str, float]) -> dict[str, str]:

@@ -1,19 +1,21 @@
 """OPT's runtime optimizer — the AQE plugin of §5.2.
 
 Runs inside the (simulated) Spark driver's AQE loop. On each collapsed
-plan it may re-tune θp using *true* statistics and the runtime LQP̄ model;
-on each new query stage it may re-tune θs using the QS model. Request
-pruning (§C.2.2) keeps the call volume down:
+plan it may re-tune θp using *true* statistics; on each new query stage it
+may re-tune θs. Both score their candidates with the runtime QS model.
+Request pruning (§C.2.2) keeps the call volume down:
 
 * LQP̄ requests are bypassed for non-join collapse points and deferred
   until every input of the join has actual statistics;
 * QS requests skip scan stages and stages whose input is below the
   advisory partition size (nothing to re-partition).
 
-θp candidates combine a sampled pool with *threshold-targeted* variants —
-``s4``/``s3`` placed just above or below the observed build size, so the
-optimizer can deliberately enable a BHJ/SHJ for this join (or avoid a
-catastrophic broadcast) the way Fig. 3(b)'s runtime plan surgery does.
+θp candidates are "keep the current θp" plus four *threshold-targeted*
+variants — ``s4``/``s3`` placed just above or below the observed build
+size, so the optimizer can deliberately enable a BHJ/SHJ for this join (or
+avoid a catastrophic broadcast) the way Fig. 3(b)'s runtime plan surgery
+does. They are scored on the join's own stage. θs candidates are "keep
+the current θs" plus a fixed (s10, s11) grid.
 Also provides ``aggregate_theta`` — the §C.2.1 rule collapsing the
 compile-time per-subQ θp/θs into the single copy Spark accepts at submit.
 """
@@ -25,10 +27,9 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
-from repro.model.features import (alpha_features, beta_features,
-                                  derived_partition_features, gamma_features)
+from repro.model.features import gamma_features
 from repro.moo.hmooc import QueryConfig
-from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS, to_vector
+from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS
 from repro.simspark.costmodel import (DEFAULT_COSTS, SMJ,
                                       choose_join_algorithm)
 from repro.simspark.executor import join_sides
@@ -68,25 +69,19 @@ class OnlineOptimizer:
     RuntimeOptimizer protocol)."""
 
     def __init__(self, dag: SubQDag, suite: P.ModelSuite, theta_c: dict,
-                 weights, *, n_pool: int = 32, seed: int = 0,
-                 costs=DEFAULT_COSTS):
+                 weights, *, costs=DEFAULT_COSTS):
         self.dag = dag
         self.suite = suite
         self.theta_c = dict(theta_c)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.costs = costs
         self.time_spent_s = 0.0
-        # LQP̄-model context (true statistics — this is runtime)
-        self._emb_plan = P.embed_plan(dag, true_stats=True)
-        leaf = [i for i, s in dag.subqs.items() if s.kind == "scan"]
-        root = dag.roots()[0]
-        self._alpha_q = alpha_features(
-            sum(dag.input_rows(i, true=True) for i in leaf),
-            sum(dag.input_bytes(i, true=True) for i in leaf),
-            dag.output_rows(root, true=True), dag.output_bytes(root, true=True))
-        self._beta_q = beta_features(float(np.mean([dag.skew(i) for i in dag.subqs])))
-        self._gamma_q = gamma_features(1, 0.0, 0.0)
-        self._emb_qs = {i: P.embed_subq(dag, i, true_stats=True) for i in dag.subqs}
+        # QS-model context (true statistics — this is runtime)
+        self._ctx = {i: P.StageContext.of(dag, i, true=True) for i in dag.subqs}
+        # Siblings' contention is unknown before a stage runs, so requests
+        # are served with a lone stage's γ; trained QS rows carry the
+        # observed γ (a known drift, see tests/test_traces.py).
+        self._gamma = gamma_features(1, 0.0, 0.0)
         mem = theta_c["k2"] * theta_c["k8"] * costs.mem_safety
         self._mem_exec = mem
         # θs candidate grid
@@ -135,25 +130,20 @@ class OnlineOptimizer:
         # stage: the join-algorithm one-hot each candidate's thresholds
         # induce (under AQE's demote-only rule) is a sharp, stage-local
         # signal — the whole-plan LQP̄ model barely resolves one join.
-        alpha = P.stage_alpha(dag, sq_id, true=True)
-        beta = beta_features(dag.skew(sq_id))
-        gamma = gamma_features(1, 0.0, 0.0)
-        in_b = dag.input_bytes(sq_id, true=True)
+        ctx = self._ctx[sq_id]
         rows_cs, nat_full, algs = [], [], []
         for c in cands:
             conf = {**self.theta_c, **c, "s10": 0.2, "s11": 1 * MB}
             algs.append(choose_join_algorithm(
                 bb, pb, conf, rows_build=br, runtime=True, compile_alg=SMJ))
-            rows_cs.append(to_vector(conf, P.QS_IDS))
+            rows_cs.append(P.conf_to_vec_qs(conf))
             nat_full.append([conf[i] for i in P.FULL_IDS])
         U_cs = np.array(rows_cs)
-        derived = derived_partition_features("shuffle", in_b, np.array(nat_full),
-                                             P.FULL_IDS, dag.skew(sq_id))
+        derived = ctx.derived(np.array(nat_full))
         F = np.zeros((len(cands), 2))
         for a in sorted(set(algs)):
             mask = np.array([x == a for x in algs])
-            X = P.qs_feature_rows(self._emb_qs[sq_id], a, alpha, beta, gamma,
-                                  U_cs[mask], derived[mask])
+            X = ctx.qs_rows(U_cs[mask], derived[mask], a, self._gamma)
             lat, io_mb = self.suite.qs.predict(X)
             cost = (np.maximum(lat, 1e-4) * self._rate()
                     + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb)
@@ -180,21 +170,15 @@ class OnlineOptimizer:
             bb, pb, br = join_sides(dag, sq_id, true=True)
             alg = choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
                                         compile_alg=None)
-        alpha = P.stage_alpha(dag, sq_id, true=True)
-        beta = beta_features(dag.skew(sq_id))
-        gamma = gamma_features(1, 0.0, 0.0)
+        ctx = self._ctx[sq_id]
         grid = [{"s10": conf["s10"], "s11": conf["s11"]}] + self._theta_s_grid
         rows_cs, nat_full = [], []
         for ts in grid:
             full = {**conf, **ts}
-            rows_cs.append(to_vector(full, P.QS_IDS))
+            rows_cs.append(P.conf_to_vec_qs(full))
             nat_full.append([full[i] for i in P.FULL_IDS])
-        U_cs = np.array(rows_cs)
-        derived = derived_partition_features(sq.kind, input_bytes,
-                                             np.array(nat_full), P.FULL_IDS,
-                                             dag.skew(sq_id))
-        X = P.qs_feature_rows(self._emb_qs[sq_id], alg, alpha, beta, gamma,
-                              U_cs, derived)
+        X = ctx.qs_rows(np.array(rows_cs), ctx.derived(np.array(nat_full)), alg,
+                        self._gamma)
         lat, io_mb = self.suite.qs.predict(X)
         cost = np.maximum(lat, 1e-4) * self._rate() + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb
         F = np.stack([lat, cost], axis=1)

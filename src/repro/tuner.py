@@ -7,9 +7,11 @@ Methods compared in the paper's end-to-end evaluation (Tables 4 & 5):
 * ``run_mo_ws``      — MO-WS: query-level weighted-sum MOO (the strongest
   prior method, UDAO-style), WUN recommendation, static θp/θs;
 * ``run_so_fw``      — SO-FW: fixed-weight single-objective collapse;
-* ``run_hmooc3``     — our compile-time HMOOC (boundary aggregation), with
-  per-subQ θp/θs collapsed to one submission copy via §C.2.1;
-* ``run_hmooc3_plus``— HMOOC3 + the runtime optimizer plugin (HMOOC3+).
+* ``run_hmooc3``     — our compile-time HMOOC (boundary aggregation,
+  solved once by ``compile_hmooc3``), with per-subQ θp/θs collapsed to one
+  submission copy via §C.2.1;
+* ``run_hmooc3_plus``— HMOOC3 + the runtime optimizer plugin (HMOOC3+) on
+  the same compiled Pareto set.
 
 Every method executes on the same simulated cluster with the same noise
 seed, so latency/cost deltas are paired.
@@ -88,23 +90,20 @@ def compile_hmooc3(dag: SubQDag, suite: ModelSuite, *, seed: int = 0,
     return res, obj
 
 
-def run_hmooc3(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
-               seed: int = 0, objectives: CompileTimeObjectives | None = None,
-               **hmooc_kw) -> TunedOutcome:
-    res, _ = compile_hmooc3(dag, suite, seed=seed, objectives=objectives, **hmooc_kw)
+def run_hmooc3(dag: SubQDag, res: MOOResult, weights, *,
+               noise_seed: int = 0) -> TunedOutcome:
+    """Execute the WUN pick of a compiled HMOOC3 Pareto set."""
     _, qc = res.recommend(weights)
     conf = submit_conf(qc, dag)
     run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
     return TunedOutcome("hmooc3", res.solving_time_s, conf, run)
 
 
-def run_hmooc3_plus(dag: SubQDag, suite: ModelSuite, weights, *,
-                    noise_seed: int = 0, seed: int = 0,
-                    objectives: CompileTimeObjectives | None = None,
-                    **hmooc_kw) -> TunedOutcome:
-    res, _ = compile_hmooc3(dag, suite, seed=seed, objectives=objectives, **hmooc_kw)
+def run_hmooc3_plus(dag: SubQDag, suite: ModelSuite, res: MOOResult, weights, *,
+                    noise_seed: int = 0) -> TunedOutcome:
+    """Execute the same pick as ``run_hmooc3`` with the runtime plugin on."""
     _, qc = res.recommend(weights)
     conf = submit_conf(qc, dag)
-    rt = OnlineOptimizer(dag, suite, qc.theta_c, weights, seed=seed)
+    rt = OnlineOptimizer(dag, suite, qc.theta_c, weights)
     run = run_query(dag, conf, aqe=True, noise_seed=noise_seed, runtime_opt=rt)
     return TunedOutcome("hmooc3+", res.solving_time_s + rt.time_spent_s, conf, run)

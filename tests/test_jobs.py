@@ -5,7 +5,7 @@ import os
 import pytest
 
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
-JOB_FILES = ["gen_traces.py", "run_table3.py", "run_table4.py",
+JOB_FILES = ["run.py", "gen_traces.py", "run_table3.py", "run_table4.py",
              "run_table5.py", "run_expt6.py", "_session.py"]
 
 
@@ -23,3 +23,15 @@ def test_job_has_entrypoint_guard(fname):
     with open(os.path.join(JOBS_DIR, fname)) as f:
         src = f.read()
     assert '__name__ == "__main__"' in src
+
+
+def test_run_dispatches_every_job():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "jobs_run", os.path.join(JOBS_DIR, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert set(run.JOBS) == {"traces", "table3", "table4", "table5", "expt6"}
+    with pytest.raises(SystemExit):
+        run.main(["table9"])

@@ -83,19 +83,6 @@ def test_lhs_deterministic():
     assert a == b
 
 
-def test_random_sample_in_domain():
-    for conf in P.random_sample(32, P.P_IDS, seed=2):
-        for kid, v in conf.items():
-            k = P.KNOB_BY_ID[kid]
-            assert k.lo <= v <= k.hi
-
-
-def test_grid_sample_count():
-    g = P.grid_sample(3, ["k1", "k8"])
-    assert len(g) == 9
-    assert {c["k1"] for c in g} == {1.0, 3.0, 5.0}
-
-
 def test_matrix_roundtrip():
     rng = np.random.default_rng(0)
     ids = [k.kid for k in P.ALL_KNOBS]
@@ -115,17 +102,6 @@ def test_matrix_matches_scalar():
         conf = P.from_vector(U[r], ids)
         for j, kid in enumerate(ids):
             assert M[r, j] == pytest.approx(conf[kid], rel=1e-9), kid
-
-
-def test_confs_to_matrix():
-    confs = P.lhs_sample(4, P.C_IDS, seed=0)
-    M = P.confs_to_matrix(confs, P.C_IDS)
-    assert M.shape == (4, 8)
-    assert M[0, 0] == confs[0]["k1"]
-
-
-def test_total_cores():
-    assert P.total_cores({"k1": 4, "k3": 8}) == 32
 
 
 def test_spark_conf_items_rendering():

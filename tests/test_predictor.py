@@ -20,34 +20,38 @@ def test_dims_consistent(dag):
     U = P.conf_to_vec_full(conf)[None, :]
     M = np.array([[conf[i] for i in P.FULL_IDS]])
     sq = min(dag.subqs)
-    emb = P.embed_subq(dag, sq, true_stats=False)
-    a = P.stage_alpha(dag, sq, true=False)
-    d = P.stage_derived(dag, sq, M, true=False)
-    row = P.subq_feature_rows(emb, a, U, d)
-    assert row.shape == (1, P.SUBQ_DIM)
+    c = P.StageContext.of(dag, sq, true=False)
+    assert c.subq_rows(U, c.derived(M)).shape == (1, P.SUBQ_DIM)
 
-    emb_r = P.embed_subq(dag, sq, true_stats=True)
-    qs_row = P.qs_feature_rows(emb_r, "SMJ", a, beta_features(0.3),
-                               gamma_features(2, 10, 5.0),
-                               P.conf_to_vec_qs(conf)[None, :], d)
+    r = P.StageContext.of(dag, sq, true=True)
+    qs_row = r.qs_rows(P.conf_to_vec_qs(conf)[None, :], r.derived(M), "SMJ",
+                       gamma_features(2, 10, 5.0))
     assert qs_row.shape == (1, P.QS_DIM)
 
-    lqp_row = P.lqp_feature_rows(P.embed_plan(dag, true_stats=True), a,
-                                 beta_features(0.3), gamma_features(2, 10, 5.0), U)
-    assert lqp_row.shape == (1, P.LQP_DIM)
+    assert P.lqp_rows(dag, U, gamma_features(2, 10, 5.0)).shape == (1, P.LQP_DIM)
 
 
 def test_batched_rows_tile_context(dag):
     conf = default_conf()
     U = np.tile(P.conf_to_vec_full(conf), (4, 1))
     M = np.tile([[conf[i] for i in P.FULL_IDS]], (4, 1))
-    sq = min(dag.subqs)
-    emb = P.embed_subq(dag, sq, true_stats=False)
-    a = P.stage_alpha(dag, sq, true=False)
-    d = P.stage_derived(dag, sq, M, true=False)
-    rows = P.subq_feature_rows(emb, a, U, d)
+    c = P.StageContext.of(dag, min(dag.subqs), true=False)
+    rows = c.subq_rows(U, c.derived(M))
     assert rows.shape == (4, P.SUBQ_DIM)
     assert np.allclose(rows[0], rows[3])
+
+
+def test_stage_context_views(dag):
+    sq = max(dag.subqs)  # deep stage: est != true
+    est = P.StageContext.of(dag, sq, true=False)
+    true = P.StageContext.of(dag, sq, true=True)
+    np.testing.assert_array_equal(est.emb, P.embed_subq(dag, sq, true_stats=False))
+    np.testing.assert_array_equal(true.emb, P.embed_subq(dag, sq, true_stats=True))
+    assert est.input_bytes == dag.input_bytes(sq, true=False)
+    assert true.input_bytes == dag.input_bytes(sq, true=True)
+    assert est.kind == true.kind == dag.subqs[sq].kind
+    assert not np.allclose(est.alpha, true.alpha)
+    np.testing.assert_array_equal(est.beta, beta_features(dag.skew(sq)))
 
 
 def test_embed_views_differ(dag):

@@ -41,15 +41,21 @@ def test_run_so_fw(dag, fake_suite):
     _check(out, "so-fw")
 
 
-def test_run_hmooc3(dag, fake_suite):
-    out = tuner.run_hmooc3(dag, fake_suite, (0.9, 0.1), noise_seed=1, seed=0,
-                           n_c=10, n_clusters=3, n_p=12)
+@pytest.fixture(scope="module")
+def compiled(dag, fake_suite):
+    res, _ = tuner.compile_hmooc3(dag, fake_suite, seed=0, n_c=10,
+                                  n_clusters=3, n_p=12)
+    return res
+
+
+def test_run_hmooc3(dag, compiled):
+    out = tuner.run_hmooc3(dag, compiled, (0.9, 0.1), noise_seed=1)
     _check(out, "hmooc3")
 
 
-def test_run_hmooc3_plus(dag, fake_suite):
-    out = tuner.run_hmooc3_plus(dag, fake_suite, (0.9, 0.1), noise_seed=1,
-                                seed=0, n_c=10, n_clusters=3, n_p=12)
+def test_run_hmooc3_plus(dag, fake_suite, compiled):
+    out = tuner.run_hmooc3_plus(dag, fake_suite, compiled, (0.9, 0.1),
+                                noise_seed=1)
     _check(out, "hmooc3+")
     # runtime plugin issued (and pruned) requests
     assert out.run.lqp_request_opportunities > 0
@@ -57,14 +63,14 @@ def test_run_hmooc3_plus(dag, fake_suite):
     assert out.run.qs_requests <= out.run.qs_request_opportunities
 
 
-def test_hmooc3_plus_includes_runtime_solving_time(dag, fake_suite):
-    out3 = tuner.run_hmooc3(dag, fake_suite, (0.9, 0.1), noise_seed=1, seed=0,
-                            n_c=10, n_clusters=3, n_p=12)
-    out3p = tuner.run_hmooc3_plus(dag, fake_suite, (0.9, 0.1), noise_seed=1,
-                                  seed=0, n_c=10, n_clusters=3, n_p=12)
-    # same compile-time work plus runtime overhead (allow timing jitter)
-    assert out3p.solving_time_s > 0
-    assert out3.solving_time_s > 0
+def test_hmooc3_plus_includes_runtime_solving_time(dag, fake_suite, compiled):
+    out3 = tuner.run_hmooc3(dag, compiled, (0.9, 0.1), noise_seed=1)
+    out3p = tuner.run_hmooc3_plus(dag, fake_suite, compiled, (0.9, 0.1),
+                                  noise_seed=1)
+    # same compile-time solve, plus the runtime plugin's time
+    assert out3.solving_time_s == compiled.solving_time_s
+    assert out3p.solving_time_s >= out3.solving_time_s
+    assert out3p.conf0 == out3.conf0
 
 
 def test_submit_conf_resolves_fine_grained(dag, fake_suite):
