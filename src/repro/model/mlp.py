@@ -4,6 +4,12 @@ Trains with Adam on the MSE of ``log1p(target)`` — latencies and IO span
 orders of magnitude, and the paper's WMAPE metric is relative. Inputs are
 standardized internally. ``save``/``load`` round-trip to ``.npz`` so
 benchmark harnesses can cache trained models.
+
+Training runs in float64; inference runs in float32. After ``__init__``,
+``fit`` and ``load`` the regressor folds the input standardization into the
+first layer and keeps float32 copies of the weights, so ``predict`` is a
+plain float32 forward pass. It moves the log-space output by about 1e-6
+against a float64 forward. The saved weights stay float64.
 """
 from __future__ import annotations
 
@@ -24,17 +30,15 @@ class MLPRegressor:
         self.x_mean = np.zeros(d_in)
         self.x_std = np.ones(d_in)
         self._seed = seed
+        self._fold_for_inference()
 
-    # -- forward/backward -----------------------------------------------------
-    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        acts = [X]
-        h = X
-        for i, (W, b) in enumerate(zip(self.W, self.b)):
-            h = h @ W + b
-            if i < len(self.W) - 1:
-                h = np.maximum(h, 0.0)
-            acts.append(h)
-        return h[:, 0], acts
+    def _fold_for_inference(self) -> None:
+        """Float32 inference weights with ``(X - x_mean) / x_std`` folded
+        into the first layer: ``W0 / x_std`` and ``b0 - (x_mean / x_std) @ W0``."""
+        W0 = self.W[0] / self.x_std[:, None]
+        b0 = self.b[0] - (self.x_mean / self.x_std) @ self.W[0]
+        self._W32 = [w.astype(np.float32) for w in (W0, *self.W[1:])]
+        self._b32 = [b.astype(np.float32) for b in (b0, *self.b[1:])]
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, epochs: int = 60,
             batch: int = 256, lr: float = 2e-3, weight_decay: float = 1e-5,
@@ -98,13 +102,20 @@ class MLPRegressor:
             losses.append(ep_loss / n)
             if verbose and ep % 10 == 0:
                 print(f"epoch {ep}: loss={losses[-1]:.5f}")
+        self._fold_for_inference()
         return losses
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict targets on the natural (expm1) scale."""
-        X = np.asarray(X, dtype=np.float64)
-        Xn = (X - self.x_mean) / self.x_std
-        out, _ = self._forward(Xn)
+        """Predict targets on the natural (expm1) scale (float32 forward,
+        float64 result)."""
+        h = np.asarray(X, dtype=np.float32)
+        last = len(self._W32) - 1
+        for i, (W, b) in enumerate(zip(self._W32, self._b32)):
+            h = h @ W
+            h += b
+            if i < last:
+                np.maximum(h, 0.0, out=h)
+        out = h[:, 0].astype(np.float64)
         return np.expm1(np.clip(out, -20.0, 30.0))
 
     # -- persistence -----------------------------------------------------------
@@ -125,4 +136,5 @@ class MLPRegressor:
         m.W = [z[f"W{i}"] for i in range(n_layers)]
         m.b = [z[f"b{i}"] for i in range(n_layers)]
         m.x_mean, m.x_std = z["x_mean"], z["x_std"]
+        m._fold_for_inference()
         return m

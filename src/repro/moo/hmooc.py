@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.moo.objectives import D_C, D_PS, CompileTimeObjectives
 from repro.moo.pareto import pareto_indices, wun_select
-from repro.params import C_IDS, P_IDS, S_IDS, from_vector
+from repro.params import C_IDS, P_IDS, S_IDS, denormalize_matrix, from_vector
 
 
 @dataclass
@@ -118,39 +118,50 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
     Uc = refine_unit(_lhs_unit(n_c, D_C, rng), C_IDS)
     labels, rep_idx, centers = _kmeans(Uc, n_clusters, seed=seed)
     pool = refine_unit(_lhs_unit(n_p, D_PS, rng), P_IDS + S_IDS)
+    # Knobs in natural units, decoded once per solve: decoding is
+    # element-wise, so rows built from these equal decoding each batch.
+    Mc = denormalize_matrix(Uc, C_IDS)
+    M_pool = denormalize_matrix(pool, P_IDS + S_IDS)
 
-    # optimize_p_moo: local Pareto θp⊗θs per (representative, subQ)
+    def pair(A: np.ndarray, B: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray):
+        """Rows ``A[a] ‖ B[b]`` for each a in ``a_idx`` (outer), b in ``b_idx``."""
+        return np.concatenate([np.repeat(A[a_idx], len(b_idx), axis=0),
+                               np.tile(B[b_idx], (len(a_idx), 1))], axis=1)
+
+    # optimize_p_moo: local Pareto θp⊗θs per (representative, subQ). Each
+    # subQ's stage context is fixed, so one batched model call per subQ
+    # scores every representative; block g holds representative g's rows.
+    n_reps, all_p = len(rep_idx), np.arange(n_p)
+    U_reps, M_reps = pair(Uc, pool, rep_idx, all_p), pair(Mc, M_pool, rep_idx, all_p)
     opt_idx: dict[tuple[int, int], np.ndarray] = {}
-    for g, r in enumerate(rep_idx):
-        U_full = np.concatenate([np.tile(Uc[r], (n_p, 1)), pool], axis=1)
-        for sq in obj.sq_ids:
-            F = obj.subq_batch(sq, U_full)
-            opt_idx[(g, sq)] = pareto_indices(F)
+    for sq in obj.sq_ids:
+        F = obj.subq_batch(sq, U_reps, M_reps)
+        for g in range(n_reps):
+            opt_idx[(g, sq)] = pareto_indices(F[g * n_p:(g + 1) * n_p])
 
-    def assign(U_cands: np.ndarray, cand_labels: np.ndarray):
-        # One batched model call per (cluster, subQ): every member of the
-        # cluster is evaluated with the representative's optimal θp set.
+    def assign(U_cands: np.ndarray, M_cands: np.ndarray, cand_labels: np.ndarray):
+        # Every member of a cluster is evaluated with its representative's
+        # optimal θp set, all clusters in one batched model call per subQ.
         out: dict[int, list] = {sq: [None] * len(U_cands) for sq in obj.sq_ids}
-        for g in range(len(rep_idx)):
-            members = np.flatnonzero(cand_labels == g)
-            if len(members) == 0:
-                continue
-            for sq in obj.sq_ids:
-                pidx = opt_idx[(g, sq)]
-                np_g = len(pidx)
-                U_full = np.concatenate(
-                    [np.repeat(U_cands[members], np_g, axis=0),
-                     np.tile(pool[pidx], (len(members), 1))], axis=1)
-                F = obj.subq_batch(sq, U_full)
-                for mi, ci in enumerate(members):
-                    out[sq][ci] = (pidx, F[mi * np_g:(mi + 1) * np_g])
+        clusters = [(g, np.flatnonzero(cand_labels == g)) for g in range(n_reps)]
+        for sq in obj.sq_ids:
+            blocks = [(members, opt_idx[(g, sq)]) for g, members in clusters
+                      if len(members)]
+            U_full = np.concatenate([pair(U_cands, pool, m, p) for m, p in blocks])
+            M_full = np.concatenate([pair(M_cands, M_pool, m, p) for m, p in blocks])
+            F = obj.subq_batch(sq, U_full, M_full)
+            at = 0
+            for members, pidx in blocks:
+                for ci in members:
+                    out[sq][ci] = (pidx, F[at:at + len(pidx)])
+                    at += len(pidx)
         return out
 
-    sols = assign(Uc, labels)
+    sols = assign(Uc, Mc, labels)
     if enrich and len(Uc) >= 2:
         U_new = _crossover_enrich(Uc, n_c // 2, seed + 1)
         new_labels = _assign_cluster(U_new, centers)
-        new_sols = assign(U_new, new_labels)
+        new_sols = assign(U_new, denormalize_matrix(U_new, C_IDS), new_labels)
         for sq in obj.sq_ids:
             sols[sq].extend(new_sols[sq])
         Uc = np.concatenate([Uc, U_new], axis=0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
-from repro.params import GB, denormalize_matrix
+from repro.params import C_IDS, GB, P_IDS, S_IDS, denormalize_matrix
 from repro.simspark.costmodel import DEFAULT_COSTS, CostParams
 
 D_C, D_P, D_S = 8, 9, 2
@@ -53,10 +53,16 @@ class CompileTimeObjectives:
                 + mem_gb * self.costs.price_mem_gb_h
                 + self.costs.price_driver_h) / 3600.0
 
-    def subq_batch(self, sq_id: int, U_full: np.ndarray) -> np.ndarray:
-        """(n, 2) predicted [analytical latency (s), cloud cost ($)]."""
+    def subq_batch(self, sq_id: int, U_full: np.ndarray,
+                   M_nat: np.ndarray | None = None) -> np.ndarray:
+        """(n, 2) predicted [analytical latency (s), cloud cost ($)].
+
+        ``M_nat`` is ``U_full`` decoded to natural units; callers that
+        evaluate one batch for several subQs decode it once and pass it.
+        """
         U_full = np.atleast_2d(U_full)
-        M_nat = denormalize_matrix(U_full, P.FULL_IDS)
+        if M_nat is None:
+            M_nat = denormalize_matrix(U_full, P.FULL_IDS)
         ctx = self._ctx[sq_id]
         X = ctx.subq_rows(U_full, ctx.derived(M_nat))
         lat, io_mb = self.suite.subq.predict(X)
@@ -69,18 +75,19 @@ class CompileTimeObjectives:
         """Query-level objectives when one (θc, θp, θs) is shared by all
         subQs (the coarse-grained baselines' view)."""
         U_full = np.atleast_2d(U_full)
+        M_nat = denormalize_matrix(U_full, P.FULL_IDS)
         F = np.zeros((len(U_full), 2))
         for i in self.sq_ids:
-            F += self.subq_batch(i, U_full)
+            F += self.subq_batch(i, U_full, M_nat)
         return F
 
     def query_fine_batch(self, U_big: np.ndarray) -> np.ndarray:
         """Query-level objectives for fine-grained decision vectors
         ``[θc | θp_1 θs_1 | ... | θp_m θs_m]`` of dim 8 + 11m."""
         U_big = np.atleast_2d(U_big)
+        M_big = denormalize_matrix(U_big, C_IDS + (P_IDS + S_IDS) * self.m)
         F = np.zeros((len(U_big), 2))
         for j, i in enumerate(self.sq_ids):
-            lo = D_C + j * D_PS
-            U_full = np.concatenate([U_big[:, :D_C], U_big[:, lo:lo + D_PS]], axis=1)
-            F += self.subq_batch(i, U_full)
+            cols = np.r_[:D_C, D_C + j * D_PS:D_C + (j + 1) * D_PS]
+            F += self.subq_batch(i, U_big[:, cols], M_big[:, cols])
         return F

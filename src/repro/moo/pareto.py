@@ -14,7 +14,10 @@ def pareto_indices(F: np.ndarray) -> np.ndarray:
 
     Uses the classic sort-then-sweep for k=2 — O(n log n), the [18]
     Kung-Luccio-Preparata bound the paper cites — and a vectorized
-    pairwise check for k>2.
+    pairwise check for k>2. The k=2 sweep keeps a row when its f2 is below
+    the running minimum of the rows sorted before it, so of several equal
+    points only the lowest index is kept; a NaN f2 is never kept and does
+    not lower the minimum.
     """
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2:
@@ -24,13 +27,9 @@ def pareto_indices(F: np.ndarray) -> np.ndarray:
         return np.array([], dtype=np.int64)
     if k == 2:
         order = np.lexsort((F[:, 1], F[:, 0]))  # by f1 then f2
-        best = np.inf
-        keep = []
-        for i in order:
-            if F[i, 1] < best:
-                keep.append(i)
-                best = F[i, 1]
-        return np.array(sorted(keep), dtype=np.int64)
+        f2 = F[order, 1]
+        best_before = np.fmin.accumulate(np.concatenate([[np.inf], f2[:-1]]))
+        return np.sort(order[f2 < best_before])
     keep = np.ones(n, dtype=bool)
     for i in range(n):
         if not keep[i]:

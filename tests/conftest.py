@@ -42,6 +42,18 @@ class FakeRegressor:
         return self.scale * 10.0 * (0.2 + emb_mag) * (1.2 - 0.4 * conf[:, 6])
 
 
+def reference_predict(m, X: np.ndarray) -> np.ndarray:
+    """Float64 forward of an ``MLPRegressor`` from its stored weights, with
+    the standardization applied to the inputs: the reference for the
+    float32, standardization-folded ``predict``."""
+    h = (np.asarray(X, dtype=np.float64) - m.x_mean) / m.x_std
+    for i, (W, b) in enumerate(zip(m.W, m.b)):
+        h = h @ W + b
+        if i < len(m.W) - 1:
+            h = np.maximum(h, 0.0)
+    return np.expm1(np.clip(h[:, 0], -20.0, 30.0))
+
+
 @pytest.fixture(scope="session")
 def fake_suite() -> ModelSuite:
     return ModelSuite(

@@ -4,11 +4,16 @@ properties (Prop. 5.1–5.3, Appendix B)."""
 import numpy as np
 import pytest
 
+from repro import tuner
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
+from repro.model.mlp import MLPRegressor
+from repro.model.predictor import FULL_IDS
 from repro.moo import hmooc as H
-from repro.moo.objectives import CompileTimeObjectives
+from repro.moo.objectives import D_C, D_FULL, D_PS, CompileTimeObjectives
 from repro.moo.pareto import dominates, pareto_indices
+from repro.params import denormalize_matrix
+from tests.conftest import reference_predict
 
 
 def _sols(rng, n, m):
@@ -147,11 +152,15 @@ def test_effective_set_structure(obj):
     assert len(eff.Uc) == 12 + 6  # crossover enrichment adds n_c // 2
     for sq in obj.sq_ids:
         assert len(eff.sols[sq]) == len(eff.Uc)
-        for pidx, F in eff.sols[sq]:
+        for ci, (pidx, F) in enumerate(eff.sols[sq]):
             assert len(pidx) == len(F)
             assert len(pidx) >= 1
             # stored solutions are the local Pareto set of the pool
             assert np.all(F > 0)
+            # each candidate's rows of the batched call are its own
+            U = np.concatenate([np.tile(eff.Uc[ci], (len(pidx), 1)),
+                                eff.pool[pidx]], axis=1)
+            np.testing.assert_array_equal(F, obj.subq_batch(sq, U))
 
 
 def test_effective_set_no_enrich(obj):
@@ -198,3 +207,58 @@ def test_hmooc_dnc_front_dominates_boundary(obj, fake_suite):
     hv_d = hypervolume_2d(normalize(r_d.F, lo, hi)[0], ref)
     hv_b = hypervolume_2d(normalize(r_b.F, lo, hi)[0], ref)
     assert hv_d >= hv_b - 1e-9
+
+
+# -- with a trained suite -----------------------------------------------------
+
+COMPILED = [("tpch", "q3"), ("tpch", "q9"), ("tpcds", "q14"), ("tpcds", "q48")]
+
+
+def _dag(bench, q):
+    return partition_subqs(build_query(bench, q, sf=100.0))
+
+
+def test_subq_batch_with_decoded_knobs_is_bit_identical(small_suite):
+    """Passing the knobs already decoded (as HMOOC and the baselines do)
+    gives exactly what decoding inside ``subq_batch`` gives."""
+    obj = CompileTimeObjectives(_dag("tpcds", "q14"), small_suite)
+    rng = np.random.default_rng(0)
+    U = H._lhs_unit(64, D_FULL, rng)
+    U[0], U[1] = 0.0, 1.0
+    M = denormalize_matrix(U, FULL_IDS)
+    for sq in obj.sq_ids:
+        np.testing.assert_array_equal(obj.subq_batch(sq, U, M), obj.subq_batch(sq, U))
+    np.testing.assert_array_equal(obj.query_shared_batch(U),
+                                  sum(obj.subq_batch(sq, U) for sq in obj.sq_ids))
+    U_big = rng.random((32, D_C + D_PS * obj.m))
+    blocks = [np.concatenate([U_big[:, :D_C], U_big[:, lo:lo + D_PS]], axis=1)
+              for lo in range(D_C, U_big.shape[1], D_PS)]
+    np.testing.assert_array_equal(
+        obj.query_fine_batch(U_big),
+        sum(obj.subq_batch(sq, B) for sq, B in zip(obj.sq_ids, blocks)))
+
+
+@pytest.mark.parametrize("bench,q", COMPILED)
+def test_hmooc3_same_with_per_batch_decoding(small_suite, monkeypatch, bench, q):
+    dag = _dag(bench, q)
+    res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    subq_batch = CompileTimeObjectives.subq_batch
+    monkeypatch.setattr(CompileTimeObjectives, "subq_batch",
+                        lambda self, sq, U, M=None: subq_batch(self, sq, U))
+    ref, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    np.testing.assert_array_equal(res.F, ref.F)
+    assert res.configs == ref.configs
+
+
+@pytest.mark.parametrize("bench,q", COMPILED)
+def test_hmooc3_float32_inference_keeps_decision(small_suite, monkeypatch, bench, q):
+    """The float32 forward submits the same configuration as the float64
+    one, and its Pareto objectives stay within float32 rounding."""
+    W = (0.9, 0.1)
+    dag = _dag(bench, q)
+    res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    monkeypatch.setattr(MLPRegressor, "predict", reference_predict)
+    ref, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    assert (tuner.submit_conf(res.recommend(W)[1], dag)
+            == tuner.submit_conf(ref.recommend(W)[1], dag))
+    np.testing.assert_allclose(res.F, ref.F, rtol=1e-4)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.model.mlp import MLPRegressor
+from tests.conftest import reference_predict
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +74,45 @@ def test_constant_feature_no_nan(toy):
     m = MLPRegressor(6, seed=0)
     m.fit(X, y, epochs=3)
     assert np.all(np.isfinite(m.predict(X[:5])))
+
+
+def test_float32_predict_matches_float64_reference(toy):
+    X, y = toy
+    X = X.copy()
+    X[:, 5] = 7.0  # zero-variance feature: x_std falls back to 1
+    m = MLPRegressor(6, hidden=(64, 64), seed=1)
+    m.fit(X, y, epochs=50)
+    assert m.x_std[5] == 1.0
+    np.testing.assert_allclose(m.predict(X), reference_predict(m, X), rtol=1e-4)
+
+
+def test_predict_follows_refit(toy):
+    X, y = toy
+    m = MLPRegressor(6, hidden=(32,), seed=1)
+    m.fit(X, y, epochs=5)
+    first = m.predict(X[:20])
+    m.fit(X, 3.0 * y + 100.0, epochs=20)
+    second = m.predict(X[:20])
+    assert not np.allclose(first, second)
+    np.testing.assert_allclose(second, reference_predict(m, X[:20]), rtol=1e-4)
+
+
+def test_load_predicts_exactly_like_saved(tmp_path, toy):
+    X, y = toy
+    m = MLPRegressor(6, hidden=(32, 32), seed=2)
+    m.fit(X, y, epochs=10)
+    path = str(tmp_path / "m.npz")
+    m.save(path)
+    np.testing.assert_array_equal(MLPRegressor.load(path).predict(X), m.predict(X))
+
+
+def test_saved_npz_keys_and_dtypes(tmp_path, toy):
+    X, y = toy
+    m = MLPRegressor(6, hidden=(16, 8), seed=2)
+    m.fit(X, y, epochs=2)
+    path = str(tmp_path / "m.npz")
+    m.save(path)
+    z = np.load(path)
+    assert set(z.files) == {"x_mean", "x_std", "meta", "hidden",
+                            "W0", "b0", "W1", "b1", "W2", "b2"}
+    assert all(z[k].dtype == np.float64 for k in ("x_mean", "x_std", "W0", "b2"))

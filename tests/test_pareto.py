@@ -49,6 +49,38 @@ def test_pareto_matches_brute_force_2d(seed):
     assert set(pareto_indices(F)) == brute_force_pareto(F)
 
 
+def sweep_pareto_2d(F: np.ndarray) -> np.ndarray:
+    """The loop form of the k=2 sort-then-sweep, as a reference."""
+    best, keep = np.inf, []
+    for i in np.lexsort((F[:, 1], F[:, 0])):
+        if F[i, 1] < best:
+            keep.append(i)
+            best = F[i, 1]
+    return np.array(sorted(keep), dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pareto_2d_ties_match_brute_force(seed):
+    """Integer grids force duplicate f1 values, equal f2 values and equal
+    points; of equal non-dominated points only the lowest index is kept."""
+    rng = np.random.default_rng(seed + 200)
+    F = rng.integers(0, 5, (80, 2)).astype(np.float64)
+    first_of_equal = {min(np.flatnonzero((F == F[i]).all(axis=1)))
+                      for i in range(len(F))}
+    got = pareto_indices(F)
+    assert set(got) == brute_force_pareto(F) & first_of_equal
+    np.testing.assert_array_equal(got, sweep_pareto_2d(F))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pareto_2d_non_finite_rows_match_sweep(seed):
+    rng = np.random.default_rng(seed + 300)
+    F = rng.random((60, 2))
+    F[rng.random((60, 2)) < 0.1] = np.nan
+    F[rng.random((60, 2)) < 0.05] = np.inf
+    np.testing.assert_array_equal(pareto_indices(F), sweep_pareto_2d(F))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_pareto_matches_brute_force_3d(seed):
     rng = np.random.default_rng(seed + 100)
