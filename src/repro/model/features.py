@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.operators import OP_TYPES
 from repro.core.plan import SubQDag
+from repro.simspark.costmodel import scan_partitions_vec, shuffle_partitions_vec
 
 PRED_EMB_DIM = 8
 OP_FEAT_DIM = len(OP_TYPES) + 2 + PRED_EMB_DIM
@@ -106,7 +107,6 @@ def derived_partition_features(kind: str, input_bytes: float, M_nat: np.ndarray,
     model (``repro.simspark.costmodel``) so features stay consistent
     between training traces and optimization-time prediction.
     """
-    from repro.simspark.costmodel import scan_partitions_vec, shuffle_partitions_vec
     col = {kid: i for i, kid in enumerate(ids)}
     M_nat = np.atleast_2d(np.asarray(M_nat, dtype=np.float64))
     if kind == "scan":

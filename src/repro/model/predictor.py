@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model.features import (
-    ALPHA_DIM, BETA_DIM, DERIVED_DIM, GAMMA_DIM, JOIN_ALGS, alpha_features,
-    beta_features, derived_partition_features, join_alg_onehot, local_edges,
-    op_feature_matrix,
+    ALPHA_DIM, BETA_DIM, DERIVED_DIM, GAMMA_DIM, JOIN_ALGS, OP_FEAT_DIM,
+    alpha_features, beta_features, derived_partition_features, join_alg_onehot,
+    local_edges, op_feature_matrix,
 )
 from repro.model.gtn import EMB_DIM, GTNEmbedder
 from repro.model.mlp import MLPRegressor
@@ -54,7 +54,6 @@ def shared_gtn() -> GTNEmbedder:
     across processes — safe to use from Spark workers)."""
     global _GTN
     if _GTN is None:
-        from repro.model.features import OP_FEAT_DIM
         _GTN = GTNEmbedder(OP_FEAT_DIM)
     return _GTN
 

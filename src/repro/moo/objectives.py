@@ -3,9 +3,10 @@
 ``CompileTimeObjectives`` turns batches of candidate configurations into
 predicted (analytical latency, cloud cost) pairs per subQ, using the
 trained subQ models with CBO-estimated statistics (paper §5.1: the
-modeling constraint of compile time). Cloud cost decomposes per subQ as
+modeling constraint of compile time). Cloud cost is the cost model's one
+price (``CostParams.rate``/``cost``) and decomposes per subQ as
 
-    cost_i = ana_latency_i * resource_rate(θc) + io_i * io_price
+    cost_i = ana_latency_i * rate(θc) + io_i * io_price
 
 so query-level objectives are sums of subQ-level ones — the property the
 whole HMOOC DAG-aggregation machinery relies on (Λ = sum).
@@ -19,14 +20,13 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
-from repro.params import C_IDS, GB, P_IDS, S_IDS, denormalize_matrix
+from repro.params import C_IDS, D_C, D_P, D_S, P_IDS, S_IDS, denormalize_matrix
 from repro.simspark.costmodel import DEFAULT_COSTS, CostParams
 
-D_C, D_P, D_S = 8, 9, 2
 D_PS = D_P + D_S
 D_FULL = D_C + D_PS
 
-# column indices of k1..k3, k2 within FULL_IDS order
+# column indices of k1, k2, k3 within FULL_IDS order
 _K1, _K2, _K3 = 0, 1, 2
 
 
@@ -45,14 +45,6 @@ class CompileTimeObjectives:
     def m(self) -> int:
         return len(self.sq_ids)
 
-    def resource_rate(self, M_nat: np.ndarray) -> np.ndarray:
-        """$ per second held (executors + driver/cluster occupancy)."""
-        cores = M_nat[:, _K1] * M_nat[:, _K3]
-        mem_gb = M_nat[:, _K2] / GB * M_nat[:, _K3]
-        return (cores * self.costs.price_core_h
-                + mem_gb * self.costs.price_mem_gb_h
-                + self.costs.price_driver_h) / 3600.0
-
     def subq_batch(self, sq_id: int, U_full: np.ndarray,
                    M_nat: np.ndarray | None = None) -> np.ndarray:
         """(n, 2) predicted [analytical latency (s), cloud cost ($)].
@@ -68,8 +60,8 @@ class CompileTimeObjectives:
         lat, io_mb = self.suite.subq.predict(X)
         lat = np.maximum(lat, 1e-4)
         io_gb = np.maximum(io_mb, 0.0) / 1024.0
-        cost = lat * self.resource_rate(M_nat) + io_gb * self.costs.price_io_gb
-        return np.stack([lat, cost], axis=1)
+        rate = self.costs.rate(M_nat[:, _K1], M_nat[:, _K2], M_nat[:, _K3])
+        return np.stack([lat, self.costs.cost(lat, io_gb, rate)], axis=1)
 
     def query_shared_batch(self, U_full: np.ndarray) -> np.ndarray:
         """Query-level objectives when one (θc, θp, θs) is shared by all

@@ -1,4 +1,4 @@
-"""Pareto-set utilities: dominance filtering, hypervolume, WUN selection.
+"""Pareto-set utilities: dominance filtering, hypervolume, WUN and weighted picks.
 
 All objectives are *minimized*. Objective matrices are ``(n, k)`` numpy
 arrays; helpers return index arrays into the input so callers can carry
@@ -80,6 +80,14 @@ def normalize(F: np.ndarray, lo: np.ndarray | None = None,
     hi = F.max(axis=0) if hi is None else np.asarray(hi, dtype=np.float64)
     span = np.where(hi > lo, hi - lo, 1.0)
     return (F - lo) / span, lo, hi
+
+
+def weighted_pick(F: np.ndarray, w) -> int:
+    """Index minimizing the weighted sum of min-max-normalized objectives;
+    the first such index on ties. Kept element-wise (no matmul), so BLAS
+    rounding cannot change which of two tied rows wins."""
+    Fn, _, _ = normalize(F)
+    return int((Fn * np.asarray(w, dtype=np.float64)).sum(axis=1).argmin())
 
 
 def wun_select(F: np.ndarray, weights: np.ndarray,

@@ -148,12 +148,16 @@ def from_vector(vec: np.ndarray, ids: list[str] | None = None) -> dict[str, floa
     return {i: KNOB_BY_ID[i].denormalize(float(u)) for i, u in zip(ids, vec)}
 
 
+def lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d) Latin Hypercube sample of [0, 1]^d (paper §6: LHS [31])."""
+    return (rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T
+            + rng.random((n, d))) / n
+
+
 def lhs_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
-    """Latin Hypercube Sampling over the named knobs (paper §6: LHS [31])."""
-    rng = np.random.default_rng(seed)
-    d = len(ids)
-    u = (rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T + rng.random((n, d))) / n
-    return [from_vector(u[i], ids) for i in range(n)]
+    """Latin Hypercube Sampling over the named knobs, decoded to configurations."""
+    u = lhs_unit(n, len(ids), np.random.default_rng(seed))
+    return [from_vector(row, ids) for row in u]
 
 
 def _bounds(ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Runs inside the (simulated) Spark driver's AQE loop. On each collapsed
 plan it may re-tune θp using *true* statistics; on each new query stage it
-may re-tune θs. Both score their candidates with the runtime QS model.
+may re-tune θs. Both score their candidates with the runtime QS model and
+the cost model's price, and apply the weighted pick only on a clear win.
 Request pruning (§C.2.2) keeps the call volume down:
 
 * LQP̄ requests are bypassed for non-join collapse points and deferred
@@ -29,9 +30,10 @@ from repro.core.plan import SubQDag
 from repro.model import predictor as P
 from repro.model.features import gamma_features
 from repro.moo.hmooc import QueryConfig
-from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS
+from repro.moo.pareto import weighted_pick
+from repro.params import MB, KNOB_BY_ID, P_IDS, S_IDS
 from repro.simspark.costmodel import (DEFAULT_COSTS, SMJ,
-                                      choose_join_algorithm)
+                                      choose_join_algorithm, exec_mem)
 from repro.simspark.executor import join_sides
 
 
@@ -82,8 +84,8 @@ class OnlineOptimizer:
         # are served with a lone stage's γ; trained QS rows carry the
         # observed γ (a known drift, see tests/test_traces.py).
         self._gamma = gamma_features(1, 0.0, 0.0)
-        mem = theta_c["k2"] * theta_c["k8"] * costs.mem_safety
-        self._mem_exec = mem
+        self._mem_exec = exec_mem(theta_c, costs)
+        self._rate = costs.rate(theta_c["k1"], theta_c["k2"], theta_c["k3"])
         # θs candidate grid
         s10s = np.linspace(0.1, 0.8, 4)
         s11s = np.array([1 * MB, 4 * MB, 16 * MB, 64 * MB])
@@ -91,16 +93,27 @@ class OnlineOptimizer:
                               for a in s10s for b in s11s]
 
     # -- helpers ---------------------------------------------------------------
-    def _rate(self) -> float:
-        c = self.theta_c
-        return (c["k1"] * c["k3"] * self.costs.price_core_h
-                + c["k2"] / GB * c["k3"] * self.costs.price_mem_gb_h
-                + self.costs.price_driver_h) / 3600.0
-
-    def _pick_weighted(self, F: np.ndarray) -> int:
-        lo, hi = F.min(axis=0), F.max(axis=0)
-        Fn = (F - lo) / np.where(hi > lo, hi - lo, 1.0)
-        return int((Fn * self.weights).sum(axis=1).argmin())
+    def _choose(self, ctx: P.StageContext, confs: list[dict], algs: list[str],
+                margin: float) -> int:
+        """Weighted pick over the QS model's (latency, cost) of ``confs``,
+        ``confs[i]`` under join algorithm ``algs[i]``; 0 (the submitted value)
+        unless the pick scores below ``margin`` × its score. Latency is ranked
+        un-clamped here, unlike compile time (ROADMAP item 4)."""
+        U_cs = np.array([P.conf_to_vec_qs(c) for c in confs])
+        derived = ctx.derived(np.array([[c[i] for i in P.FULL_IDS] for c in confs]))
+        F = np.zeros((len(confs), 2))
+        for a in sorted(set(algs)):
+            mask = np.array([x == a for x in algs])
+            X = ctx.qs_rows(U_cs[mask], derived[mask], a, self._gamma)
+            lat, io_mb = self.suite.qs.predict(X)
+            cost = self.costs.cost(np.maximum(lat, 1e-4),
+                                   np.maximum(io_mb, 0.0) / 1024.0, self._rate)
+            F[mask] = np.stack([lat, cost], axis=1)
+        best = weighted_pick(F, self.weights)
+        score = (F * self.weights).sum(axis=1)
+        if best != 0 and score[best] > margin * score[0]:
+            best = 0
+        return best
 
     # -- LQP̄ re-optimization ----------------------------------------------------
     def on_collapsed_lqp(self, dag: SubQDag, sq_id: int, known: dict[int, dict],
@@ -130,29 +143,10 @@ class OnlineOptimizer:
         # stage: the join-algorithm one-hot each candidate's thresholds
         # induce (under AQE's demote-only rule) is a sharp, stage-local
         # signal — the whole-plan LQP̄ model barely resolves one join.
-        ctx = self._ctx[sq_id]
-        rows_cs, nat_full, algs = [], [], []
-        for c in cands:
-            conf = {**self.theta_c, **c, "s10": 0.2, "s11": 1 * MB}
-            algs.append(choose_join_algorithm(
-                bb, pb, conf, rows_build=br, runtime=True, compile_alg=SMJ))
-            rows_cs.append(P.conf_to_vec_qs(conf))
-            nat_full.append([conf[i] for i in P.FULL_IDS])
-        U_cs = np.array(rows_cs)
-        derived = ctx.derived(np.array(nat_full))
-        F = np.zeros((len(cands), 2))
-        for a in sorted(set(algs)):
-            mask = np.array([x == a for x in algs])
-            X = ctx.qs_rows(U_cs[mask], derived[mask], a, self._gamma)
-            lat, io_mb = self.suite.qs.predict(X)
-            cost = (np.maximum(lat, 1e-4) * self._rate()
-                    + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb)
-            F[mask] = np.stack([lat, cost], axis=1)
-        best = self._pick_weighted(F)
-        # only deviate from the submitted θp on a clear predicted win
-        score = (F * self.weights).sum(axis=1)
-        if best != 0 and score[best] > 0.98 * score[0]:
-            best = 0
+        confs = [{**self.theta_c, **c, "s10": 0.2, "s11": 1 * MB} for c in cands]
+        algs = [choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
+                                      compile_alg=SMJ) for conf in confs]
+        best = self._choose(self._ctx[sq_id], confs, algs, 0.98)
         self.time_spent_s += time.perf_counter() - t0
         return cands[best]
 
@@ -170,22 +164,8 @@ class OnlineOptimizer:
             bb, pb, br = join_sides(dag, sq_id, true=True)
             alg = choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
                                         compile_alg=None)
-        ctx = self._ctx[sq_id]
         grid = [{"s10": conf["s10"], "s11": conf["s11"]}] + self._theta_s_grid
-        rows_cs, nat_full = [], []
-        for ts in grid:
-            full = {**conf, **ts}
-            rows_cs.append(P.conf_to_vec_qs(full))
-            nat_full.append([full[i] for i in P.FULL_IDS])
-        X = ctx.qs_rows(np.array(rows_cs), ctx.derived(np.array(nat_full)), alg,
-                        self._gamma)
-        lat, io_mb = self.suite.qs.predict(X)
-        cost = np.maximum(lat, 1e-4) * self._rate() + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb
-        F = np.stack([lat, cost], axis=1)
-        best = self._pick_weighted(F)
-        # keep the submitted θs unless the model predicts a clear win
-        score = (F * self.weights).sum(axis=1)
-        if best != 0 and score[best] > 0.97 * score[0]:
-            best = 0
+        best = self._choose(self._ctx[sq_id], [{**conf, **ts} for ts in grid],
+                            [alg] * len(grid), 0.97)
         self.time_spent_s += time.perf_counter() - t0
         return dict(grid[best])

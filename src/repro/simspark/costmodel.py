@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.params import MB
+from repro.params import GB, MB
 
 SMJ, SHJ, BHJ = "SMJ", "SHJ", "BHJ"
 
@@ -60,6 +60,16 @@ class CostParams:
     price_mem_gb_h: float = 0.006        # $ per GB-hour
     price_driver_h: float = 0.30         # driver + cluster occupancy $/hour
     price_io_gb: float = 2.0e-4          # $ per GB moved
+
+    def rate(self, k1, k2, k3):
+        """$ per second held: ``k3`` executors of ``k1`` cores and ``k2``
+        bytes each, plus driver/cluster occupancy. Scalars or arrays."""
+        return (k1 * k3 * self.price_core_h + k2 / GB * k3 * self.price_mem_gb_h
+                + self.price_driver_h) / 3600.0
+
+    def cost(self, latency_s, io_gb, rate):
+        """Cloud cost ($): resources held for ``latency_s`` plus IO moved."""
+        return latency_s * rate + io_gb * self.price_io_gb
 
 
 DEFAULT_COSTS = CostParams()
@@ -167,7 +177,7 @@ def _exec_mem_per_task(conf: dict, costs: CostParams) -> float:
     return conf["k2"] * conf["k8"] * costs.mem_safety / max(conf["k1"], 1.0)
 
 
-def _exec_mem(conf: dict, costs: CostParams) -> float:
+def exec_mem(conf: dict, costs: CostParams) -> float:
     return conf["k2"] * conf["k8"] * costs.mem_safety
 
 
@@ -232,7 +242,7 @@ def stage_cost(
     broadcast_bytes = 0.0
     k3 = max(conf["k3"], 1.0)
     mem_task = _exec_mem_per_task(conf, costs)
-    mem_exec = _exec_mem(conf, costs)
+    mem_exec = exec_mem(conf, costs)
     mem_need = input_bytes / p * 0.5  # pipeline working set
 
     if join_alg:

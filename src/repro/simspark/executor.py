@@ -25,7 +25,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.plan import SubQDag
-from repro.params import GB
+from repro.params import GB, split_conf
 from repro.simspark.costmodel import (
     BHJ, DEFAULT_COSTS, SMJ, CostParams, StageMetrics,
     choose_join_algorithm, stage_cost,
@@ -134,8 +134,6 @@ def run_query(
     costs: CostParams = DEFAULT_COSTS,
 ) -> QueryRun:
     """Simulate one execution of ``dag`` under the 19-knob ``conf``."""
-    from repro.params import split_conf
-
     theta_c, theta_p, theta_s = split_conf(conf)
     total_cores = max(1.0, theta_c["k1"] * theta_c["k3"])
     rng = np.random.default_rng(noise_seed + 104729 * (hash(dag.plan.name) % 9973))
@@ -246,9 +244,6 @@ def run_query(
     run.latency_s = latency * q_noise
     run.analytical_latency_s = total_task_sec / total_cores
     run.io_gb = total_io / GB
-    mem_gb = theta_c["k2"] / GB
-    rate = (theta_c["k1"] * theta_c["k3"] * costs.price_core_h
-            + mem_gb * theta_c["k3"] * costs.price_mem_gb_h
-            + costs.price_driver_h)
-    run.cost_usd = run.latency_s / 3600.0 * rate + run.io_gb * costs.price_io_gb
+    run.cost_usd = costs.cost(run.latency_s, run.io_gb,
+                              costs.rate(theta_c["k1"], theta_c["k2"], theta_c["k3"]))
     return run

@@ -13,8 +13,9 @@ Methods compared in the paper's end-to-end evaluation (Tables 4 & 5):
 * ``run_hmooc3_plus``— HMOOC3 + the runtime optimizer plugin (HMOOC3+) on
   the same compiled Pareto set.
 
-Every method executes on the same simulated cluster with the same noise
-seed, so latency/cost deltas are paired.
+Every method executes on the same simulated cluster (AQE on) with the
+same noise seed, so latency/cost deltas are paired; a runtime plugin's own
+time counts as solving time.
 """
 from __future__ import annotations
 
@@ -54,10 +55,16 @@ def submit_conf(qc: QueryConfig, dag: SubQDag) -> dict:
     return merge_conf(qc.theta_c, theta_p, theta_s)
 
 
+def _execute(method: str, dag: SubQDag, conf: dict, solve_s: float, *,
+             noise_seed: int, runtime_opt: OnlineOptimizer | None = None) -> TunedOutcome:
+    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed, runtime_opt=runtime_opt)
+    if runtime_opt is not None:
+        solve_s += runtime_opt.time_spent_s
+    return TunedOutcome(method, solve_s, conf, run)
+
+
 def run_default(dag: SubQDag, *, noise_seed: int = 0) -> TunedOutcome:
-    conf = default_conf()
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
-    return TunedOutcome("default", 0.0, conf, run)
+    return _execute("default", dag, default_conf(), 0.0, noise_seed=noise_seed)
 
 
 def run_mo_ws(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
@@ -67,9 +74,8 @@ def run_mo_ws(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
     res = weighted_sum(obj, n_samples=n_samples, n_weights=n_weights,
                        fine=False, seed=seed)
     _, qc = res.recommend(weights)
-    conf = submit_conf(qc, dag)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
-    return TunedOutcome("mo-ws", res.solving_time_s, conf, run)
+    return _execute("mo-ws", dag, submit_conf(qc, dag), res.solving_time_s,
+                    noise_seed=noise_seed)
 
 
 def run_so_fw(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
@@ -77,9 +83,7 @@ def run_so_fw(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
               objectives: CompileTimeObjectives | None = None) -> TunedOutcome:
     obj = objectives or CompileTimeObjectives(dag, suite)
     qc, _, solve_t = so_fixed_weights(obj, weights, n_samples=n_samples, seed=seed)
-    conf = submit_conf(qc, dag)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
-    return TunedOutcome("so-fw", solve_t, conf, run)
+    return _execute("so-fw", dag, submit_conf(qc, dag), solve_t, noise_seed=noise_seed)
 
 
 def compile_hmooc3(dag: SubQDag, suite: ModelSuite, *, seed: int = 0,
@@ -94,16 +98,14 @@ def run_hmooc3(dag: SubQDag, res: MOOResult, weights, *,
                noise_seed: int = 0) -> TunedOutcome:
     """Execute the WUN pick of a compiled HMOOC3 Pareto set."""
     _, qc = res.recommend(weights)
-    conf = submit_conf(qc, dag)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
-    return TunedOutcome("hmooc3", res.solving_time_s, conf, run)
+    return _execute("hmooc3", dag, submit_conf(qc, dag), res.solving_time_s,
+                    noise_seed=noise_seed)
 
 
 def run_hmooc3_plus(dag: SubQDag, suite: ModelSuite, res: MOOResult, weights, *,
                     noise_seed: int = 0) -> TunedOutcome:
     """Execute the same pick as ``run_hmooc3`` with the runtime plugin on."""
     _, qc = res.recommend(weights)
-    conf = submit_conf(qc, dag)
     rt = OnlineOptimizer(dag, suite, qc.theta_c, weights)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed, runtime_opt=rt)
-    return TunedOutcome("hmooc3+", res.solving_time_s + rt.time_spent_s, conf, run)
+    return _execute("hmooc3+", dag, submit_conf(qc, dag), res.solving_time_s,
+                    noise_seed=noise_seed, runtime_opt=rt)

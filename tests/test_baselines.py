@@ -7,7 +7,7 @@ from repro.core.workloads import build_query
 from repro.moo import baselines as B
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices
-from repro.params import C_IDS, KNOB_BY_ID, P_IDS, S_IDS
+from repro.params import C_IDS, KNOB_BY_ID, P_IDS, S_IDS, from_vector
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,19 @@ def test_ws_collapse_behavior(obj):
 def test_decode_fine_vs_query_dims(obj):
     assert B._dims(obj, False) == 19
     assert B._dims(obj, True) == 8 + 11 * obj.m
+
+
+def test_query_level_decode_matches_full_vector_split(obj):
+    """A query-level vector decodes as if the whole 19-knob vector were
+    split into θc / θp / θs, with the same θp and θs for every subQ."""
+    rng = np.random.default_rng(4)
+    for U in rng.random((5, 19)):
+        qc = B._decode(obj, U, fine=False)
+        conf = from_vector(U, C_IDS + P_IDS + S_IDS)
+        assert qc.theta_c == {k: conf[k] for k in C_IDS}
+        for sq in obj.sq_ids:
+            assert qc.theta_p[sq] == {k: conf[k] for k in P_IDS}
+            assert qc.theta_s[sq] == {k: conf[k] for k in S_IDS}
 
 
 def test_nondominated_rank():

@@ -1,4 +1,7 @@
 """Unit tests for the stage cost model (the Spark-cluster substrate)."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,3 +220,26 @@ def test_vectorized_matches_scalar(conf):
     for b, p in zip(B, pv):
         ps, _ = cm.shuffle_partitions(float(b), dict(conf, s10=0.2), aqe=True, skew=0.5)
         assert ps == int(p)
+
+
+# --- price ------------------------------------------------------------------
+
+def test_rate_and_cost_scalar_and_vector_agree():
+    c = cm.DEFAULT_COSTS
+    k1, k2, k3 = np.array([1.0, 5.0]), np.array([4 * GB, 32 * GB]), np.array([2.0, 16.0])
+    rates = c.rate(k1, k2, k3)
+    assert rates[1] > rates[0] > 0
+    for i in range(2):
+        assert rates[i] == c.rate(k1[i], k2[i], k3[i])
+    assert c.cost(10.0, 2.0, rates[0]) == 10.0 * rates[0] + 2.0 * c.price_io_gb
+
+
+def test_prices_read_only_in_the_cost_model():
+    """Cloud cost has one definition: ``CostParams.rate``/``cost``. Any other
+    module that reads a ``price_*`` field prices on its own."""
+    src = Path(cm.__file__).resolve().parents[1]
+    offenders = [f"{p.relative_to(src)}:{n}"
+                 for p in sorted(src.rglob("*.py")) if p.name != "costmodel.py"
+                 for n, line in enumerate(p.read_text().splitlines(), 1)
+                 if re.search(r"\bprice_\w+", line)]
+    assert not offenders, offenders

@@ -5,6 +5,7 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.params import GB, MB, default_conf
+from repro.simspark.costmodel import DEFAULT_COSTS
 from repro.simspark.executor import (compile_time_join_algs, join_sides,
                                      run_query)
 
@@ -19,6 +20,13 @@ def test_run_basics(dag):
     assert r.latency_s > 0 and r.cost_usd > 0 and r.io_gb > 0
     assert r.analytical_latency_s > 0
     assert set(r.stages) == set(dag.subqs)
+
+
+@pytest.mark.parametrize("k1,k2,k3", [(2, 8 * GB, 8), (5, 32 * GB, 16), (1, 4 * GB, 2)])
+def test_cost_is_the_cost_model_price(dag, k1, k2, k3):
+    r = run_query(dag, dict(default_conf(), k1=k1, k2=k2, k3=k3), noise_seed=0)
+    rate = DEFAULT_COSTS.rate(k1, k2, k3)
+    assert r.cost_usd == DEFAULT_COSTS.cost(r.latency_s, r.io_gb, rate)
 
 
 def test_noise_deterministic(dag):

@@ -12,7 +12,7 @@ from repro.model.predictor import FULL_IDS
 from repro.moo import hmooc as H
 from repro.moo.objectives import D_C, D_FULL, D_PS, CompileTimeObjectives
 from repro.moo.pareto import dominates, pareto_indices
-from repro.params import denormalize_matrix
+from repro.params import denormalize_matrix, lhs_unit
 from tests.conftest import reference_predict
 
 
@@ -133,7 +133,7 @@ def test_crossover_enrich_preserves_domain():
 
 def test_lhs_unit_stratified():
     rng = np.random.default_rng(3)
-    U = H._lhs_unit(16, 4, rng)
+    U = lhs_unit(16, 4, rng)
     assert U.shape == (16, 4)
     assert np.all((U >= 0) & (U <= 1))
     for j in range(4):
@@ -223,7 +223,7 @@ def test_subq_batch_with_decoded_knobs_is_bit_identical(small_suite):
     gives exactly what decoding inside ``subq_batch`` gives."""
     obj = CompileTimeObjectives(_dag("tpcds", "q14"), small_suite)
     rng = np.random.default_rng(0)
-    U = H._lhs_unit(64, D_FULL, rng)
+    U = lhs_unit(64, D_FULL, rng)
     U[0], U[1] = 0.0, 1.0
     M = denormalize_matrix(U, FULL_IDS)
     for sq in obj.sq_ids:

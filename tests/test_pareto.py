@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.moo.pareto import (dominates, hypervolume_2d, normalize,
-                              pareto_indices, wun_select)
+                              pareto_indices, weighted_pick, wun_select)
 
 
 def brute_force_pareto(F: np.ndarray) -> set[int]:
@@ -163,3 +163,39 @@ def test_wun_empty_raises():
 
 def test_wun_single():
     assert wun_select(np.array([[3.0, 4.0]]), [0.9, 0.1]) == 0
+
+
+def _weighted_pick_loop(F, w):
+    """Loop reference: min-max normalize each column (a zero span counts as
+    1), then the first row with the least weighted sum."""
+    lo, hi = F.min(axis=0), F.max(axis=0)
+    best, best_s = 0, np.inf
+    for i, row in enumerate(F):
+        s = 0.0
+        for j in range(F.shape[1]):
+            span = hi[j] - lo[j] if hi[j] > lo[j] else 1.0
+            s += (row[j] - lo[j]) / span * w[j]
+        if s < best_s:
+            best, best_s = i, s
+    return best
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_weighted_pick_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    # integer grids make exact ties common
+    F = rng.integers(0, 4, (rng.integers(1, 30), 2)).astype(float)
+    for w in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.9, 0.1], rng.random(2)):
+        assert weighted_pick(F, w) == _weighted_pick_loop(F, np.asarray(w))
+
+
+def test_weighted_pick_ties_take_first_index():
+    F = np.array([[3.0, 1.0], [1.0, 3.0], [1.0, 3.0], [2.0, 2.0]])
+    assert weighted_pick(F, [1.0, 0.0]) == 1
+    assert weighted_pick(F, [0.5, 0.5]) == 0
+
+
+def test_weighted_pick_zero_span_column():
+    F = np.array([[5.0, 2.0], [5.0, 1.0], [5.0, 3.0]])  # latency all equal
+    assert weighted_pick(F, [1.0, 0.0]) == 0
+    assert weighted_pick(F, [0.9, 0.1]) == 1
